@@ -453,6 +453,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.tends import TendsModel
     from repro.serve import BatchPolicy, IngestService
 
+    if args.drift != "off" and (
+        args.tile_size is not None or args.spill_dir is not None
+    ):
+        print(
+            "error: --drift cannot be combined with tiling (--tile-size/"
+            "--spill-dir): the drift windows are counted dense",
+            file=sys.stderr,
+        )
+        return 2
     model = None
     if args.model is not None:
         model = TendsModel.load(args.model)

@@ -771,9 +771,10 @@ class ParallelExecutor:
 
     def _submit(self, pool, strategy: str, chunk_fn: ChunkFn,
                 context: ContextT, chunk: list[ItemT], index: int) -> Future:
-        if strategy == "process":
-            return pool.submit(_process_chunk, chunk, index)
-
+        """Submit one chunk.  A pool found broken at submit time yields a
+        future failed with that ``BrokenExecutor``, so :meth:`_run_pool`
+        rebuilds, retries and falls back exactly as for a break seen when
+        collecting the result."""
         trace = self._trace
 
         def timed(
@@ -792,7 +793,14 @@ class ParallelExecutor:
                 spans,
             )
 
-        return pool.submit(timed)
+        try:
+            if strategy == "process":
+                return pool.submit(_process_chunk, chunk, index)
+            return pool.submit(timed)
+        except BrokenExecutor as exc:
+            broken: Future = Future()
+            broken.set_exception(exc)
+            return broken
 
     def _run_pool(
         self,

@@ -24,9 +24,10 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,10 +104,12 @@ class TendsResult:
     diagnostics:
         Per-node :class:`~repro.core.search.SearchDiagnostics`.
     stage_seconds:
-        Wall-clock per pipeline stage: ``imi``, ``threshold``, ``search``,
-        plus one ``search/<worker>`` entry per stage-3 worker (e.g.
-        ``search/serial``, ``search/process-0``) holding the time that
-        worker spent inside the parent searches.  The flat
+        Wall-clock per pipeline stage — ``stats`` (counting; absent when
+        :meth:`Tends.fit` was given its statistics), ``imi``,
+        ``threshold``, ``bootstrap`` (when one ran), ``diff`` (updates
+        and drift adaptations), ``search`` — plus one ``search/<worker>``
+        entry per stage-3 worker (e.g. ``search/serial``) holding the
+        time that worker spent inside the parent searches.  The flat
         ``search/<worker>`` keys are kept for backwards compatibility;
         prefer :attr:`stage_times` (stage names only) and
         :attr:`worker_seconds` (per-worker view) — stage names never
@@ -257,6 +260,15 @@ class UpdateInfo:
         return len(self.clean_nodes)
 
 
+def _graph_of(parent_sets: Sequence[Sequence[int]]) -> DiffusionGraph:
+    """The frozen topology with edges ``parent → child`` per parent set."""
+    graph = DiffusionGraph(len(parent_sets))
+    for child, parents in enumerate(parent_sets):
+        for parent in parents:
+            graph.add_edge(parent, child)
+    return graph.freeze()
+
+
 def merge_results(results: Sequence[TendsResult]) -> TendsResult:
     """Reassemble one full :class:`TendsResult` from shard fits.
 
@@ -316,16 +328,12 @@ def merge_results(results: Sequence[TendsResult]) -> TendsResult:
         )
     parent_sets = tuple(owner[node].parent_sets[node] for node in range(n))
     diagnostics = tuple(owner[node].diagnostics[node] for node in range(n))
-    graph = DiffusionGraph(n)
-    for node, parents in enumerate(parent_sets):
-        for parent in parents:
-            graph.add_edge(parent, node)
     stage_seconds: dict[str, float] = {}
     for result in results:
         for stage, seconds in result.stage_seconds.items():
             stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
     return TendsResult(
-        graph=graph.freeze(),
+        graph=_graph_of(parent_sets),
         parent_sets=parent_sets,
         mi_matrix=reference.mi_matrix,
         threshold=reference.threshold,
@@ -386,11 +394,7 @@ class TendsModel:
 
     def graph(self) -> DiffusionGraph:
         """The currently-inferred topology (edges parent → child)."""
-        graph = DiffusionGraph(self.n_nodes)
-        for child, parents in enumerate(self.parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, child)
-        return graph.freeze()
+        return _graph_of(self.parent_sets)
 
     def data_fingerprint(self) -> str:
         """SHA-256 over the stored history (statuses bytes + mask).
@@ -597,6 +601,53 @@ class TendsModel:
         return model
 
 
+class _Observation:
+    """Tracer, metrics and memory tracker of one entry-point call, plus
+    the ``stage_seconds`` of its pipeline run.  Untraced calls get the
+    shared no-op singletons; the inference is bit-identical either way."""
+
+    def __init__(self, trace: bool = False, memory: bool = False) -> None:
+        self.tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
+        self.metrics: MetricsRegistry | NullMetrics = (
+            MetricsRegistry() if trace else NULL_METRICS
+        )
+        self.memory: MemoryTracker | NullMemoryTracker = (
+            MemoryTracker() if memory else NULL_MEMORY
+        )
+        self.stage_seconds: dict[str, float] = {}
+
+    @contextmanager
+    def span(self, name: str, memory_key: str, **attrs) -> Iterator:
+        """A span whose allocations are attributed to ``memory_key``."""
+        with self.tracer.span(name, **attrs) as span:
+            with self.memory.measure(memory_key, span):
+                yield span
+
+    @contextmanager
+    def stage(self, name: str, **attrs) -> Iterator:
+        """One pipeline stage: the ``tends.<name>`` span, its memory
+        attribution, and its wall clock in ``stage_seconds[name]``."""
+        with self.span(f"tends.{name}", name, **attrs) as span:
+            with Stopwatch() as watch:
+                yield span
+            self.stage_seconds[name] = watch.elapsed
+
+    def attach(self, result: TendsResult) -> TendsResult:
+        """``result`` carrying this call's :class:`Telemetry`, when
+        tracing or memory attribution was on."""
+        if not (self.tracer.enabled or self.memory.enabled):
+            return result
+        return replace(
+            result,
+            telemetry=Telemetry(
+                spans=self.tracer.finished(),
+                metrics=self.metrics.snapshot(),
+                epoch_offset=self.tracer.epoch_offset,
+                memory=self.memory.stages(),
+            ),
+        )
+
+
 class Tends:
     """Statistical estimator of diffusion network topologies.
 
@@ -658,6 +709,15 @@ class Tends:
         return estimator
 
     # ------------------------------------------------------------------
+    @property
+    def _bootstrap_backed(self) -> bool:
+        """Resampled screening/confidence is a function of the raw
+        history, not of the cached counts, so such fits install no
+        incremental model and :meth:`partial_fit` refuses them."""
+        return self.config.threshold == "stable" or bool(
+            self.config.bootstrap_samples
+        )
+
     def _execution_plan(self) -> ExecutionPlan:
         """The stage-3 executor plan from the configured knobs — shared
         by the parent-search fan-out and the tile fan-outs, so tiles get
@@ -671,15 +731,22 @@ class Tends:
             fallback=self.config.executor_fallback,
         )
 
+    @contextmanager
+    def _observed(self) -> Iterator[_Observation]:
+        """An entry point's instruments, installed as the ambient tracer
+        and memory tracker; finish with :meth:`_Observation.attach`."""
+        observation = _Observation(self.config.trace, self.config.memory)
+        with ambient_tracer(observation.tracer), observation.memory.activate():
+            yield observation
+
     def _count_stats(
         self,
         statuses: StatusMatrix,
         kernel_backend: str,
-        tracer: "Tracer | NullTracer" = NULL_TRACER,
-        metrics: "MetricsRegistry | NullMetrics" = NULL_METRICS,
+        observation: _Observation,
     ) -> SufficientStats | TiledSufficientStats:
-        """Count the fit's sufficient statistics: dense one-shot by
-        default, tile-by-tile into the spill directory when
+        """Count the sufficient statistics of ``statuses``: dense one-shot
+        by default, tile-by-tile into the spill directory when
         ``config.tile_size`` is set (bit-identical either way)."""
         if self.config.tile_size is None:
             return SufficientStats.from_statuses(statuses, kernel=kernel_backend)
@@ -690,9 +757,36 @@ class Tends:
             kernel=kernel_backend,
             max_resident_tiles=self.config.max_resident_tiles,
             plan=self._execution_plan(),
-            tracer=tracer,
-            metrics=metrics,
+            tracer=observation.tracer,
+            metrics=observation.metrics,
         )
+
+    def _apply_missing_policy(
+        self, statuses: StatusMatrix, what: str
+    ) -> StatusMatrix:
+        """The ``config.missing`` policy.  "pairwise" leaves the mask in
+        place — imi/scoring then count over pairwise- and family-complete
+        processes with per-pair effective β."""
+        if statuses.has_missing and self.config.missing == "refuse":
+            raise DataError(
+                f"{what} {int((~statuses.mask).sum())} unobserved "
+                "entries and missing='refuse' is set"
+            )
+        if statuses.has_missing and self.config.missing == "zero-fill":
+            return statuses.filled(0)
+        return statuses
+
+    def _refuse_tiled_drift(self, model: TendsModel, what: str) -> None:
+        """Drift windows are counted and adapted dense, so a tiled model
+        would silently lose its memory bound: refuse the combination."""
+        if self.config.tile_size is not None or isinstance(
+            model.stats, TiledSufficientStats
+        ):
+            raise ConfigurationError(
+                f"{what} does not support tiled statistics: the drift "
+                "windows are counted dense, which would drop the tiled "
+                "memory bound; fit dense (tile_size=None) to use drift"
+            )
 
     def fit(
         self,
@@ -727,18 +821,7 @@ class Tends:
             raise DataError(
                 f"TENDS needs at least 2 diffusion processes, got {statuses.beta}"
             )
-        if statuses.has_missing:
-            # Missing-data policy (config.missing).  "pairwise" leaves the
-            # mask in place — imi/scoring then count over pairwise- and
-            # family-complete processes with per-pair effective β.
-            if self.config.missing == "refuse":
-                missing_count = int((~statuses.mask).sum())
-                raise DataError(
-                    f"observations contain {missing_count} unobserved entries "
-                    "and missing='refuse' is set"
-                )
-            if self.config.missing == "zero-fill":
-                statuses = statuses.filled(0)
+        statuses = self._apply_missing_policy(statuses, "observations contain")
         if self.config.audit != "ignore":
             # Degenerate observations (all-zero cascades, constant nodes)
             # are handled gracefully downstream — the Eq. 16-17 / 24-25
@@ -774,83 +857,30 @@ class Tends:
                 f"missing={statuses.has_missing}) observations"
             )
 
-        # Observability: a traced fit records nested spans and algorithm
-        # metrics; untraced fits run through the shared no-op singletons
-        # (one attribute lookup per site).  Either way the inference is
-        # bit-identical — instrumentation only observes.
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        if statuses.has_missing:
-            metrics.set_gauge("tends_mask_density", float(statuses.mask.mean()))
-        else:
-            metrics.set_gauge("tends_mask_density", 1.0)
-        with ambient_tracer(tracer), memory.activate():
-            with tracer.span(
-                "tends.fit", n_nodes=n, beta=statuses.beta, kernel=kernel_backend
-            ) as fit_span, memory.measure("total", fit_span):
+        with self._observed() as observation:
+            with observation.span(
+                "tends.fit",
+                "total",
+                n_nodes=n,
+                beta=statuses.beta,
+                kernel=kernel_backend,
+            ):
                 if stats is None:
-                    with tracer.span("tends.stats", beta=statuses.beta) as span:
-                        with memory.measure("stats", span):
-                            stats = self._count_stats(
-                                statuses, kernel_backend, tracer, metrics
-                            )
-                result, candidates = self._run_pipeline(
-                    statuses,
-                    stats,
-                    n,
-                    tracer,
-                    metrics,
-                    kernel_backend,
-                    memory,
-                    nodes=shard,
+                    with observation.stage("stats", beta=statuses.beta):
+                        stats = self._count_stats(
+                            statuses, kernel_backend, observation
+                        )
+                result, self._model = self._drive(
+                    observation, statuses, stats, kernel_backend, shard=shard
                 )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
-                ),
-            )
-        # Install the incremental-update state.  Bootstrap-backed configs
-        # get none: resampled screening/confidence is a function of the
-        # raw history, not of the cached counts, so partial_fit cannot
-        # reproduce it and refuses such configs up front.  Shard fits get
-        # none either — their parent sets are partial by construction.
-        if (
-            self.config.threshold == "stable"
-            or self.config.bootstrap_samples
-            or shard is not None
-        ):
-            self._model = None
-        else:
-            self._model = TendsModel(
-                config=self.config,
-                stats=stats,
-                statuses=statuses,
-                threshold=result.threshold,
-                candidates=candidates,
-                parent_sets=result.parent_sets,
-                diagnostics=result.diagnostics,
-            )
-        return result
+        return observation.attach(result)
 
     def _select_threshold(
         self, mi: np.ndarray, n: int
     ) -> tuple[float, TwoMeansResult | None]:
         """Stage 2: the pruning threshold ``τ`` (Algorithm 1 line 5) —
         explicit override, or fixed-zero 2-means over the non-negative
-        off-diagonal MI values (scaled).  Shared by :meth:`fit` and
-        :meth:`partial_fit` so both derive ``τ`` through identical
-        floating-point operations."""
+        off-diagonal MI values (scaled)."""
         if self.config.threshold is not None and self.config.threshold != "stable":
             return float(self.config.threshold), None
         # Stream the off-diagonal extraction in row bands: concatenating
@@ -874,127 +904,140 @@ class Tends:
         clustering = fixed_zero_two_means(non_negative)
         return clustering.threshold * self.config.threshold_scale, clustering
 
-    def _run_pipeline(
+    def _drive(
         self,
-        statuses: StatusMatrix,
+        observation: _Observation,
+        history: StatusMatrix,
         stats: SufficientStats | TiledSufficientStats,
-        n: int,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
         kernel_backend: str,
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
-        nodes: tuple[int, ...] | None = None,
-    ) -> tuple[TendsResult, tuple[tuple[int, ...], ...]]:
-        """Stages 1-3 of Algorithm 1 (validation already done by
-        :meth:`fit`, which also owns the ambient tracer install and the
-        kernel-backend resolution).
+        *,
+        base: TendsModel | None = None,
+        select: Callable[[Mapping[int, tuple[int, ...]]], Sequence[int]]
+        | None = None,
+        shard: tuple[int, ...] | None = None,
+        batch_beta: int = 0,
+    ) -> tuple[TendsResult, TendsModel | None]:
+        """Algorithm 1 from the sufficient statistics of ``history`` on —
+        the one pipeline behind :meth:`fit`, :meth:`partial_fit` and
+        :meth:`apply_drift_adaptation`.
 
-        Returns the result plus the per-node candidate sets, which the
-        caller folds into the incremental-update model."""
-        stage_seconds: dict[str, float] = {}
+        A fit (no ``base``) searches every node, or the ``shard``, over
+        empty placeholder parent sets, pruning inside the ``search``
+        stage.  An update or adaptation prunes every node in the ``diff``
+        stage, searches the nodes ``select(candidates)`` picks, and keeps
+        ``base``'s parent sets for the rest.  Returns the result and the
+        incremental-update model (``None`` for shard fits and
+        bootstrap-backed configurations).
+        """
+        config, metrics, n = self.config, observation.metrics, stats.n_nodes
         metrics.set_gauge(
             "tends_kernel_packed", 1.0 if kernel_backend == "packed" else 0.0
+        )
+        metrics.set_gauge(
+            "tends_mask_density",
+            float(history.mask.mean()) if history.has_missing else 1.0,
         )
 
         # Stage 1: pairwise MI matrix (Algorithm 1 lines 2-4), from the
         # additive sufficient statistics — identical floating-point
         # pipeline to estimating straight from the observations.
-        with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-            with memory.measure("imi", imi_span), Stopwatch() as watch:
-                mi = stats.mi_matrix(self.config.mi_kind)
-            stage_seconds["imi"] = watch.elapsed
+        with observation.stage("imi", kind=config.mi_kind):
+            mi = stats.mi_matrix(config.mi_kind)
         metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
 
         # Stage 2: threshold via fixed-zero 2-means (line 5).
-        stable_mode = self.config.threshold == "stable"
-        with tracer.span("tends.threshold") as threshold_span:
-            with memory.measure("threshold", threshold_span), Stopwatch() as watch:
-                threshold, clustering = self._select_threshold(mi, n)
-            stage_seconds["threshold"] = watch.elapsed
-            threshold_span.set(tau=threshold)
+        with observation.stage("threshold") as span:
+            threshold, clustering = self._select_threshold(mi, n)
+            span.set(tau=threshold)
         metrics.set_gauge("tends_threshold_tau", threshold)
 
-        # Stage 2b (optional): bootstrap the IMI distribution for per-edge
-        # confidence and, in stable mode, CI-based candidate screening.
-        bootstrap = None
-        stable_pairs: np.ndarray | None = None
-        n_boot = self.config.bootstrap_samples
-        if stable_mode and n_boot is None:
+        # Stage 2b (optional; only fits get here with one configured):
+        # bootstrap the IMI distribution for per-edge confidence and, in
+        # stable mode, CI-based candidate screening.
+        bootstrap = stable_pairs = None
+        n_boot = config.bootstrap_samples
+        if config.threshold == "stable" and n_boot is None:
             n_boot = 100
         if n_boot:
             from repro.robustness.bootstrap import bootstrap_imi
 
-            with tracer.span("tends.bootstrap", samples=n_boot) as boot_span:
-                with memory.measure("bootstrap", boot_span), Stopwatch() as watch:
-                    bootstrap = bootstrap_imi(
-                        statuses,
-                        n_boot,
-                        seed=self.config.bootstrap_seed,
-                        ci_level=self.config.ci_level,
-                        mi_kind=self.config.mi_kind,
-                    )
-                    if stable_mode:
-                        stable_pairs = bootstrap.stable_above(threshold)
-                stage_seconds["bootstrap"] = watch.elapsed
-
-        # Stage 3: candidate pruning + per-node parent search (lines 6-21).
-        # The local score is decomposable, so the n searches are
-        # independent; the executor backend fans them out and the merge
-        # below reassembles results in node order, keeping the output
-        # bit-identical to the serial loop for every backend/worker count.
-        with tracer.span(
-            "tends.search", strategy=self.config.search_strategy
-        ) as search_span:
-            with memory.measure("search", search_span), Stopwatch() as watch:
-                search = ParentSearch(statuses, self.config)
-                searched = range(n) if nodes is None else nodes
-                items = [
-                    (
-                        node,
-                        prune_candidates(
-                            mi, node, threshold, self.config, stable_pairs
-                        ),
-                    )
-                    for node in searched
-                ]
-                kept_pairs = sum(len(candidates) for _, candidates in items)
-                metrics.inc(
-                    "tends_candidate_pairs_pruned_total",
-                    len(items) * (n - 1) - kept_pairs,
+            with observation.stage("bootstrap", samples=n_boot):
+                bootstrap = bootstrap_imi(
+                    history,
+                    n_boot,
+                    seed=config.bootstrap_seed,
+                    ci_level=config.ci_level,
+                    mi_kind=config.mi_kind,
                 )
-                metrics.inc("tends_candidate_pairs_kept_total", kept_pairs)
-                plan = self._execution_plan()
-                executor = ParallelExecutor(plan, tracer=tracer)
-                outcomes, worker_stats = executor.map(search_chunk, search, items)
-                # Out-of-shard nodes keep empty placeholders; for full
-                # fits every slot is overwritten in node order, so this
-                # is byte-for-byte the previous assembly.
-                parent_sets: list[tuple[int, ...]] = [() for _ in range(n)]
-                diagnostics: list[SearchDiagnostics] = [
-                    SearchDiagnostics(node=node) for node in range(n)
-                ]
-                graph = DiffusionGraph(n)
-                for (node, _), (parents, diag) in zip(items, outcomes):
-                    parent_sets[node] = tuple(parents)
-                    diagnostics[node] = diag
-                    for parent in parents:
-                        graph.add_edge(parent, node)
-            stage_seconds["search"] = watch.elapsed
-            search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-        for stats in worker_stats:
-            stage_seconds[f"search/{stats.worker}"] = stats.seconds
-        for diag in diagnostics:
+                if config.threshold == "stable":
+                    stable_pairs = bootstrap.stable_above(threshold)
+
+        def prune(nodes: Sequence[int]) -> dict[int, tuple[int, ...]]:
+            pruned = {
+                node: tuple(
+                    prune_candidates(mi, node, threshold, config, stable_pairs)
+                )
+                for node in nodes
+            }
+            kept = sum(map(len, pruned.values()))
+            metrics.inc(
+                "tends_candidate_pairs_pruned_total", len(pruned) * (n - 1) - kept
+            )
+            metrics.inc("tends_candidate_pairs_kept_total", kept)
+            return pruned
+
+        # An update re-searches a node iff its candidate set changed or the
+        # batch observed it; an adaptation re-searches the drift-affected
+        # nodes.  Every other node provably keeps its previous F_i
+        # (docs/INCREMENTAL.md).
+        candidates: dict[int, tuple[int, ...]] | None = None
+        searched: Sequence[int] = range(n) if shard is None else shard
+        if select is not None:
+            with observation.stage("diff") as span:
+                candidates = prune(range(n))
+                searched = select(candidates)
+                span.set(dirty=len(searched), clean=n - len(searched))
+
+        # Stage 3: per-node parent search (lines 6-21).  The local score
+        # is decomposable, so the searches are independent; the executor
+        # fans them out and returns them in ``searched`` order, keeping
+        # the output bit-identical for every backend and worker count.
+        with observation.stage(
+            "search", strategy=config.search_strategy, nodes=len(searched)
+        ) as span:
+            if candidates is None:
+                candidates = prune(searched)
+            plan = self._execution_plan()
+            executor = ParallelExecutor(plan, tracer=observation.tracer)
+            outcomes, worker_stats = executor.map(
+                search_chunk,
+                ParentSearch(history, config),
+                [(node, list(candidates[node])) for node in searched],
+            )
+            span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
+        for worker in worker_stats:
+            observation.stage_seconds[f"search/{worker.worker}"] = worker.seconds
+        for _, diag in outcomes:
             metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
             metrics.inc("tends_bound_terminations_total", diag.bound_hits)
             metrics.observe("tends_greedy_iterations", diag.iterations)
         report = executor.last_report
-        if report is not None:
-            metrics.inc("executor_retries_total", report.retries)
-            metrics.inc("executor_timeouts_total", report.timeouts)
-            metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
-            metrics.inc("executor_fallbacks_total", report.fallbacks)
+        metrics.inc("executor_retries_total", report.retries)
+        metrics.inc("executor_timeouts_total", report.timeouts)
+        metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
+        metrics.inc("executor_fallbacks_total", report.fallbacks)
 
-        edge_confidence: dict[tuple[int, int], float] | None = None
+        # Assembly: the searched answers over the base parent sets.
+        if base is None:
+            parent_sets: list[tuple[int, ...]] = [() for _ in range(n)]
+            diagnostics = [SearchDiagnostics(node=node) for node in range(n)]
+        else:
+            parent_sets = list(base.parent_sets)
+            diagnostics = list(base.diagnostics)
+        for node, (parents, diag) in zip(searched, outcomes):
+            parent_sets[node] = tuple(parents)
+            diagnostics[node] = diag
+        edge_confidence = None
         if bootstrap is not None:
             exceed = bootstrap.exceed_fraction(threshold)
             edge_confidence = {
@@ -1002,9 +1045,22 @@ class Tends:
                 for child, parents in enumerate(parent_sets)
                 for parent in parents
             }
-
+        update = None
+        if base is not None:
+            dirty = set(searched)
+            update = UpdateInfo(
+                batch_beta=batch_beta,
+                dirty_nodes=tuple(searched),
+                clean_nodes=tuple(node for node in range(n) if node not in dirty),
+                threshold_changed=threshold != base.threshold,
+            )
+            metrics.inc("tends_update_nodes_dirty_total", update.n_dirty)
+            metrics.inc("tends_update_nodes_clean_total", update.n_clean)
+            metrics.inc("tends_update_searches_skipped_total", update.n_clean)
+        # One pipeline run's stages (a drift-adapting partial_fit runs two).
+        stage_seconds, observation.stage_seconds = observation.stage_seconds, {}
         result = TendsResult(
-            graph=graph.freeze(),
+            graph=_graph_of(parent_sets),
             parent_sets=tuple(parent_sets),
             mi_matrix=mi,
             threshold=threshold,
@@ -1014,10 +1070,21 @@ class Tends:
             worker_stats=tuple(worker_stats),
             edge_confidence=edge_confidence,
             imi_bootstrap=bootstrap,
+            update=update,
             kernel=kernel_backend,
-            nodes=nodes,
+            nodes=shard,
         )
-        return result, tuple(tuple(candidates) for _, candidates in items)
+        if shard is not None or self._bootstrap_backed:
+            return result, None
+        return result, TendsModel(
+            config=config,
+            stats=stats,
+            statuses=history,
+            threshold=threshold,
+            candidates=tuple(candidates[node] for node in range(n)),
+            parent_sets=result.parent_sets,
+            diagnostics=result.diagnostics,
+        )
 
     # ------------------------------------------------------------------
     # incremental updates
@@ -1070,6 +1137,9 @@ class Tends:
 
         ``drift_window`` is a process count; ``drift_config`` tunes the
         detector's sensitivity (:class:`~repro.core.drift.DriftConfig`).
+        ``"detect"`` and ``"adapt"`` refuse tiled models and a configured
+        ``tile_size`` with :class:`~repro.exceptions.ConfigurationError`:
+        the drift windows are dense.
         """
         if drift not in ("ignore", "detect", "adapt"):
             raise ConfigurationError(
@@ -1080,7 +1150,7 @@ class Tends:
             raise ConfigurationError(
                 f"drift_window must be >= 1, got {drift_window}"
             )
-        if self.config.threshold == "stable" or self.config.bootstrap_samples:
+        if self._bootstrap_backed:
             raise ConfigurationError(
                 "partial_fit does not support bootstrap-backed configurations "
                 "(threshold='stable' or bootstrap_samples set): bootstrap "
@@ -1092,256 +1162,87 @@ class Tends:
                 "partial_fit needs a fitted model: call fit() first, or "
                 "resume one with Tends.from_model(TendsModel.load(path))"
             )
+        if drift != "ignore":
+            self._refuse_tiled_drift(previous, f"partial_fit(drift={drift!r})")
         if not isinstance(new_statuses, StatusMatrix):
             new_statuses = StatusMatrix(new_statuses)
-        if new_statuses.n_nodes != previous.n_nodes:
+        n = previous.n_nodes
+        if new_statuses.n_nodes != n:
             raise DataError(
-                f"batch covers {new_statuses.n_nodes} nodes, model covers "
-                f"{previous.n_nodes}"
+                f"batch covers {new_statuses.n_nodes} nodes, model covers {n}"
             )
-        if new_statuses.has_missing:
-            if self.config.missing == "refuse":
-                missing_count = int((~new_statuses.mask).sum())
-                raise DataError(
-                    f"batch contains {missing_count} unobserved entries "
-                    "and missing='refuse' is set"
-                )
-            if self.config.missing == "zero-fill":
-                new_statuses = new_statuses.filled(0)
+        new_statuses = self._apply_missing_policy(new_statuses, "batch contains")
+        kernel_backend = resolve_kernel(self.config.kernel)
+        # A node the batch never observed keeps every count its score
+        # depends on (all its counts restrict to rows observing it).
+        observed = new_statuses.mask
+        if observed is None:
+            observed = np.ones((new_statuses.beta, n), dtype=np.bool_)
+        touched = observed.any(axis=0)
 
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        with ambient_tracer(tracer), memory.activate():
-            with tracer.span(
+        with self._observed() as observation:
+            with observation.span(
                 "tends.update",
-                n_nodes=previous.n_nodes,
+                "total",
+                n_nodes=n,
                 batch_beta=new_statuses.beta,
                 beta=previous.beta + new_statuses.beta,
-            ) as update_span, memory.measure("total", update_span):
-                result, model = self._run_update(
-                    previous, new_statuses, tracer, metrics, memory
+            ):
+                observation.metrics.inc("tends_update_batches_total")
+                # Count the batch and add (integer-exact).  Tile-backed
+                # models roll a new copy-on-write tile generation; dense
+                # models under a configured tile_size fan the batch count
+                # out over tiles — either way bit-identical to the dense
+                # one-shot path.
+                with observation.stage("stats", batch_beta=new_statuses.beta):
+                    fanout = dict(
+                        plan=self._execution_plan(),
+                        tracer=observation.tracer,
+                        metrics=observation.metrics,
+                    )
+                    if isinstance(previous.stats, TiledSufficientStats):
+                        stats = previous.stats.updated(
+                            new_statuses, kernel=kernel_backend, **fanout
+                        )
+                    else:
+                        stats = previous.stats.updated(
+                            new_statuses,
+                            kernel=kernel_backend,
+                            tiling=None
+                            if self.config.tile_size is None
+                            else TileFanout(self.config.tile_size, **fanout),
+                        )
+                    history = previous.statuses.append(new_statuses)
+                result, model = self._drive(
+                    observation,
+                    history,
+                    stats,
+                    kernel_backend,
+                    base=previous,
+                    select=lambda candidates: [
+                        node
+                        for node in range(n)
+                        if bool(touched[node])
+                        or candidates[node] != previous.candidates[node]
+                    ],
+                    batch_beta=new_statuses.beta,
                 )
             if drift != "ignore" and new_statuses.beta > 0:
                 report = self._detect_drift_on(
                     model,
                     window=drift_window or new_statuses.beta,
                     config=drift_config,
-                    tracer=tracer,
-                    metrics=metrics,
+                    observation=observation,
                 )
                 result = replace(result, drift=report)
                 if drift == "adapt" and report.drifted:
-                    result, model = self._run_adapt(
-                        model, report, report.recent_beta, tracer, metrics, memory
+                    result, model = self._adapt(
+                        observation, model, report, report.recent_beta
                     )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
-                ),
-            )
         # Copy-on-write installation: nothing above mutated the previous
         # model, so any failure before this line leaves it usable.
         self._model = model
-        return result
-
-    def _run_update(
-        self,
-        previous: TendsModel,
-        batch: StatusMatrix,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
-    ) -> tuple[TendsResult, TendsModel]:
-        """One incremental update (validation already done by
-        :meth:`partial_fit`, which also owns the ambient tracer and the
-        copy-on-write model installation)."""
-        n = previous.n_nodes
-        stage_seconds: dict[str, float] = {}
-        metrics.inc("tends_update_batches_total")
-        kernel_backend = resolve_kernel(self.config.kernel)
-        metrics.set_gauge(
-            "tends_kernel_packed", 1.0 if kernel_backend == "packed" else 0.0
-        )
-
-        # Sufficient statistics: count the batch, add (integer-exact).
-        # Tile-backed models roll a new copy-on-write tile generation;
-        # dense models under a configured tile_size fan the batch count
-        # out over tiles (same integers, same merge) — either way the
-        # update is bit-identical to the one-shot dense path.
-        with tracer.span("tends.stats", batch_beta=batch.beta) as stats_span:
-            with memory.measure("stats", stats_span), Stopwatch() as watch:
-                if isinstance(previous.stats, TiledSufficientStats):
-                    stats: SufficientStats | TiledSufficientStats = (
-                        previous.stats.updated(
-                            batch,
-                            kernel=kernel_backend,
-                            plan=self._execution_plan(),
-                            tracer=tracer,
-                            metrics=metrics,
-                        )
-                    )
-                elif self.config.tile_size is not None:
-                    stats = previous.stats.updated(
-                        batch,
-                        kernel=kernel_backend,
-                        tiling=TileFanout(
-                            tile_size=self.config.tile_size,
-                            plan=self._execution_plan(),
-                            tracer=tracer,
-                            metrics=metrics,
-                        ),
-                    )
-                else:
-                    stats = previous.stats.updated(batch, kernel=kernel_backend)
-                history = previous.statuses.append(batch)
-            stage_seconds["stats"] = watch.elapsed
-        if history.has_missing:
-            metrics.set_gauge("tends_mask_density", float(history.mask.mean()))
-        else:
-            metrics.set_gauge("tends_mask_density", 1.0)
-
-        # Stage 1 from cached counts (O(n²), no pass over the history).
-        with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-            with memory.measure("imi", imi_span), Stopwatch() as watch:
-                mi = stats.mi_matrix(self.config.mi_kind)
-            stage_seconds["imi"] = watch.elapsed
-        metrics.inc("tends_imi_pairs_total", n * (n - 1) // 2)
-
-        # Stage 2: τ from the updated MI distribution.
-        with tracer.span("tends.threshold") as threshold_span:
-            with memory.measure("threshold", threshold_span), Stopwatch() as watch:
-                threshold, clustering = self._select_threshold(mi, n)
-            stage_seconds["threshold"] = watch.elapsed
-            threshold_span.set(tau=threshold)
-        metrics.set_gauge("tends_threshold_tau", threshold)
-
-        # Diff against the previous fit: a node must be re-searched iff
-        # its candidate set changed, or the batch observed it at least
-        # once (then its family counts / δ_i may differ).  Nodes failing
-        # both tests provably score every parent set identically to the
-        # previous fit — all their counts restrict to rows observing the
-        # child — so their previous F_i IS the refit answer.
-        with tracer.span("tends.diff") as diff_span:
-            with memory.measure("diff", diff_span), Stopwatch() as watch:
-                candidates = tuple(
-                    tuple(prune_candidates(mi, node, threshold, self.config))
-                    for node in range(n)
-                )
-                if batch.beta == 0:
-                    touched = np.zeros(n, dtype=np.bool_)
-                elif batch.mask is None:
-                    touched = np.ones(n, dtype=np.bool_)
-                else:
-                    touched = batch.mask.any(axis=0)
-                dirty = [
-                    node
-                    for node in range(n)
-                    if bool(touched[node])
-                    or candidates[node] != previous.candidates[node]
-                ]
-                dirty_set = set(dirty)
-                clean = [node for node in range(n) if node not in dirty_set]
-            stage_seconds["diff"] = watch.elapsed
-            diff_span.set(dirty=len(dirty), clean=len(clean))
-        kept_pairs = sum(len(c) for c in candidates)
-        metrics.inc("tends_candidate_pairs_pruned_total", n * (n - 1) - kept_pairs)
-        metrics.inc("tends_candidate_pairs_kept_total", kept_pairs)
-        metrics.inc("tends_update_nodes_dirty_total", len(dirty))
-        metrics.inc("tends_update_nodes_clean_total", len(clean))
-        metrics.inc("tends_update_searches_skipped_total", len(clean))
-
-        # Stage 3 for dirty nodes only, on the concatenated history,
-        # through the same executor machinery as a full fit.
-        with tracer.span(
-            "tends.search",
-            strategy=self.config.search_strategy,
-            dirty=len(dirty),
-        ) as search_span:
-            with memory.measure("search", search_span), Stopwatch() as watch:
-                outcomes: list = []
-                worker_stats: list[WorkerStats] = []
-                report = None
-                if dirty:
-                    search = ParentSearch(history, self.config)
-                    items = [(node, list(candidates[node])) for node in dirty]
-                    plan = ExecutionPlan.resolve(
-                        executor=self.config.executor,
-                        n_jobs=self.config.n_jobs,
-                        chunk_size=self.config.chunk_size,
-                        max_attempts=self.config.max_attempts,
-                        chunk_timeout=self.config.chunk_timeout,
-                        fallback=self.config.executor_fallback,
-                    )
-                    executor = ParallelExecutor(plan, tracer=tracer)
-                    outcomes, worker_stats = executor.map(
-                        search_chunk, search, items
-                    )
-                    report = executor.last_report
-                    search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-            stage_seconds["search"] = watch.elapsed
-        for stats_entry in worker_stats:
-            stage_seconds[f"search/{stats_entry.worker}"] = stats_entry.seconds
-        for _, diag in outcomes:
-            metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
-            metrics.inc("tends_bound_terminations_total", diag.bound_hits)
-            metrics.observe("tends_greedy_iterations", diag.iterations)
-        if report is not None:
-            metrics.inc("executor_retries_total", report.retries)
-            metrics.inc("executor_timeouts_total", report.timeouts)
-            metrics.inc("executor_pool_rebuilds_total", report.pool_rebuilds)
-            metrics.inc("executor_fallbacks_total", report.fallbacks)
-
-        # Merge: re-searched answers for dirty nodes, warm-started
-        # previous answers for clean ones, in node order.
-        parent_sets = list(previous.parent_sets)
-        diagnostics = list(previous.diagnostics)
-        for node, (parents, diag) in zip(dirty, outcomes):
-            parent_sets[node] = tuple(parents)
-            diagnostics[node] = diag
-        graph = DiffusionGraph(n)
-        for node, parents in enumerate(parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, node)
-
-        info = UpdateInfo(
-            batch_beta=batch.beta,
-            dirty_nodes=tuple(dirty),
-            clean_nodes=tuple(clean),
-            threshold_changed=threshold != previous.threshold,
-        )
-        result = TendsResult(
-            graph=graph.freeze(),
-            parent_sets=tuple(parent_sets),
-            mi_matrix=mi,
-            threshold=threshold,
-            clustering=clustering,
-            diagnostics=tuple(diagnostics),
-            stage_seconds=stage_seconds,
-            worker_stats=tuple(worker_stats),
-            update=info,
-            kernel=kernel_backend,
-        )
-        model = TendsModel(
-            config=self.config,
-            stats=stats,
-            statuses=history,
-            threshold=threshold,
-            candidates=candidates,
-            parent_sets=result.parent_sets,
-            diagnostics=result.diagnostics,
-        )
-        return result, model
+        return observation.attach(result)
 
     # ------------------------------------------------------------------
     # drift detection + self-healing adaptation
@@ -1356,7 +1257,9 @@ class Tends:
         Splits the accumulated history into the newest ``window``
         processes (default: half the history) and everything before
         them, and runs :func:`repro.core.drift.detect_drift` on the two
-        count windows.  Read-only: the model is untouched.
+        count windows.  Read-only: the model is untouched.  Tiled models
+        and a configured ``tile_size`` are refused with
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         model = self._model
         if model is None:
@@ -1364,14 +1267,14 @@ class Tends:
                 "detect_drift needs a fitted model: call fit() first, or "
                 "resume one with Tends.from_model(TendsModel.load(path))"
             )
+        self._refuse_tiled_drift(model, "detect_drift")
         if window is not None and window < 1:
             raise ConfigurationError(f"drift window must be >= 1, got {window}")
         return self._detect_drift_on(
             model,
             window=window or max(model.beta // 2, 1),
             config=config,
-            tracer=NULL_TRACER,
-            metrics=NULL_METRICS,
+            observation=_Observation(),
         )
 
     def apply_drift_adaptation(
@@ -1394,13 +1297,16 @@ class Tends:
         fingerprint — held by ``tests/unit/test_tends_drift.py``.
 
         Copy-on-write like :meth:`partial_fit`: the model is replaced
-        only after the adaptation fully succeeded.
+        only after the adaptation fully succeeded.  Tiled models and a
+        configured ``tile_size`` are refused with
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         model = self._model
         if model is None:
             raise InferenceError(
                 "apply_drift_adaptation needs a fitted model: call fit() first"
             )
+        self._refuse_tiled_drift(model, "apply_drift_adaptation")
         if not report.drifted:
             raise InferenceError(
                 "apply_drift_adaptation needs a drifted report "
@@ -1409,30 +1315,10 @@ class Tends:
         window = window or report.recent_beta
         if window < 1:
             raise ConfigurationError(f"adapt window must be >= 1, got {window}")
-        trace = self.config.trace
-        tracer: Tracer | NullTracer = Tracer() if trace else NULL_TRACER
-        metrics: MetricsRegistry | NullMetrics = (
-            MetricsRegistry() if trace else NULL_METRICS
-        )
-        memory: MemoryTracker | NullMemoryTracker = (
-            MemoryTracker() if self.config.memory else NULL_MEMORY
-        )
-        with ambient_tracer(tracer), memory.activate():
-            result, adapted = self._run_adapt(
-                model, report, window, tracer, metrics, memory
-            )
-        if trace or memory.enabled:
-            result = replace(
-                result,
-                telemetry=Telemetry(
-                    spans=tracer.finished(),
-                    metrics=metrics.snapshot(),
-                    epoch_offset=tracer.epoch_offset,
-                    memory=memory.stages(),
-                ),
-            )
+        with self._observed() as observation:
+            result, adapted = self._adapt(observation, model, report, window)
         self._model = adapted
-        return result
+        return observation.attach(result)
 
     def _detect_drift_on(
         self,
@@ -1440,8 +1326,7 @@ class Tends:
         *,
         window: int,
         config: "DriftConfig | None",
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
+        observation: _Observation,
     ) -> "DriftReport":
         """Reference-vs-recent check over ``model``'s counts.
 
@@ -1453,16 +1338,16 @@ class Tends:
         from repro.core.drift import detect_drift
 
         window = min(window, model.beta)
-        kernel_backend = resolve_kernel(self.config.kernel)
-        with tracer.span("tends.drift", window=window):
-            recent_statuses = model.statuses.subset(
-                range(model.statuses.beta - window, model.statuses.beta)
+        metrics = observation.metrics
+        with observation.tracer.span("tends.drift", window=window):
+            recent = self._count_stats(
+                model.statuses.subset(
+                    range(model.statuses.beta - window, model.statuses.beta)
+                ),
+                resolve_kernel(self.config.kernel),
+                observation,
             )
-            recent = SufficientStats.from_statuses(
-                recent_statuses, kernel=kernel_backend
-            )
-            reference = model.stats.subtracted(recent)
-            report = detect_drift(reference, recent, config)
+            report = detect_drift(model.stats.subtracted(recent), recent, config)
         metrics.inc("tends_drift_checks_total")
         if report.drifted:
             metrics.inc("tends_drift_detections_total")
@@ -1472,138 +1357,37 @@ class Tends:
         )
         return report
 
-    def _run_adapt(
+    def _adapt(
         self,
+        observation: _Observation,
         model: TendsModel,
         report: "DriftReport",
         window: int,
-        tracer: "Tracer | NullTracer",
-        metrics: "MetricsRegistry | NullMetrics",
-        memory: "MemoryTracker | NullMemoryTracker" = NULL_MEMORY,
     ) -> tuple[TendsResult, TendsModel]:
         """Rebase onto the newest ``window`` processes and re-search the
         report's affected nodes (validation already done by the callers,
         which also own the copy-on-write installation)."""
         n = model.n_nodes
         window = min(window, model.beta)
-        stage_seconds: dict[str, float] = {}
         kernel_backend = resolve_kernel(self.config.kernel)
-        metrics.inc("tends_adapt_total")
-        with tracer.span(
-            "tends.adapt", window=window, nodes=len(report.affected_nodes)
-        ) as adapt_span, memory.measure("adapt", adapt_span):
+        affected = [node for node in report.affected_nodes if 0 <= node < n]
+        observation.metrics.inc("tends_adapt_total")
+        with observation.span(
+            "tends.adapt", "adapt", window=window, nodes=len(report.affected_nodes)
+        ):
             # Recent-window statistics and history: the exact inputs a
             # fresh fit on the post-change window would see.
-            with tracer.span("tends.stats", batch_beta=window) as stats_span:
-                with memory.measure("stats", stats_span), Stopwatch() as watch:
-                    history = model.statuses.subset(
-                        range(model.statuses.beta - window, model.statuses.beta)
-                    )
-                    stats = SufficientStats.from_statuses(
-                        history, kernel=kernel_backend
-                    )
-                stage_seconds["stats"] = watch.elapsed
-
-            with tracer.span("tends.imi", kind=self.config.mi_kind) as imi_span:
-                with memory.measure("imi", imi_span), Stopwatch() as watch:
-                    mi = stats.mi_matrix(self.config.mi_kind)
-                stage_seconds["imi"] = watch.elapsed
-
-            with tracer.span("tends.threshold") as threshold_span:
-                with memory.measure(
-                    "threshold", threshold_span
-                ), Stopwatch() as watch:
-                    threshold, clustering = self._select_threshold(mi, n)
-                stage_seconds["threshold"] = watch.elapsed
-                threshold_span.set(tau=threshold)
-
-            candidates = tuple(
-                tuple(prune_candidates(mi, node, threshold, self.config))
-                for node in range(n)
+            with observation.stage("stats", batch_beta=window):
+                history = model.statuses.subset(
+                    range(model.statuses.beta - window, model.statuses.beta)
+                )
+                stats = self._count_stats(history, kernel_backend, observation)
+            result, adapted = self._drive(
+                observation,
+                history,
+                stats,
+                kernel_backend,
+                base=model,
+                select=lambda candidates: affected,
             )
-            dirty = [node for node in report.affected_nodes if 0 <= node < n]
-            dirty_set = set(dirty)
-            clean = [node for node in range(n) if node not in dirty_set]
-
-            with tracer.span(
-                "tends.search",
-                strategy=self.config.search_strategy,
-                dirty=len(dirty),
-            ) as search_span:
-                with memory.measure("search", search_span), Stopwatch() as watch:
-                    outcomes: list = []
-                    worker_stats: list[WorkerStats] = []
-                    if dirty:
-                        search = ParentSearch(history, self.config)
-                        items = [(node, list(candidates[node])) for node in dirty]
-                        plan = ExecutionPlan.resolve(
-                            executor=self.config.executor,
-                            n_jobs=self.config.n_jobs,
-                            chunk_size=self.config.chunk_size,
-                            max_attempts=self.config.max_attempts,
-                            chunk_timeout=self.config.chunk_timeout,
-                            fallback=self.config.executor_fallback,
-                        )
-                        executor = ParallelExecutor(plan, tracer=tracer)
-                        outcomes, worker_stats = executor.map(
-                            search_chunk, search, items
-                        )
-                        search_span.set(executor=plan.strategy, n_jobs=plan.n_jobs)
-                stage_seconds["search"] = watch.elapsed
-            adapt_span.set(dirty=len(dirty), clean=len(clean))
-        for stats_entry in worker_stats:
-            stage_seconds[f"search/{stats_entry.worker}"] = stats_entry.seconds
-        for _, diag in outcomes:
-            metrics.inc("tends_score_evaluations_total", diag.n_evaluations)
-
-        parent_sets = list(model.parent_sets)
-        diagnostics = list(model.diagnostics)
-        for node, (parents, diag) in zip(dirty, outcomes):
-            parent_sets[node] = tuple(parents)
-            diagnostics[node] = diag
-        graph = DiffusionGraph(n)
-        for node, parents in enumerate(parent_sets):
-            for parent in parents:
-                graph.add_edge(parent, node)
-
-        info = UpdateInfo(
-            batch_beta=0,
-            dirty_nodes=tuple(dirty),
-            clean_nodes=tuple(clean),
-            threshold_changed=threshold != model.threshold,
-        )
-        result = TendsResult(
-            graph=graph.freeze(),
-            parent_sets=tuple(parent_sets),
-            mi_matrix=mi,
-            threshold=threshold,
-            clustering=clustering,
-            diagnostics=tuple(diagnostics),
-            stage_seconds=stage_seconds,
-            worker_stats=tuple(worker_stats),
-            update=info,
-            kernel=kernel_backend,
-            drift=report,
-        )
-        adapted = TendsModel(
-            config=self.config,
-            stats=stats,
-            statuses=history,
-            threshold=threshold,
-            candidates=candidates,
-            parent_sets=result.parent_sets,
-            diagnostics=result.diagnostics,
-        )
-        return result, adapted
-
-    # ------------------------------------------------------------------
-    def _candidates_for(
-        self,
-        mi: np.ndarray,
-        node: int,
-        threshold: float,
-        stable_pairs: np.ndarray | None = None,
-    ) -> list[int]:
-        """Back-compat alias of :func:`repro.core.search.prune_candidates`
-        bound to this estimator's config."""
-        return prune_candidates(mi, node, threshold, self.config, stable_pairs)
+        return replace(result, drift=report), adapted

@@ -182,6 +182,10 @@ class IngestService:
         absorbs record by record — live and during replay — so detection
         and adaptation points are a deterministic function of the
         acknowledged sequence, keeping recovery fingerprint-identical.
+        An active policy refuses a tiled estimator (``tile_size`` set, or
+        a tile-backed model) with
+        :class:`~repro.exceptions.ConfigurationError`: the drift windows
+        are dense.
     quarantine_limit:
         Retention cap on quarantine verdicts; beyond it the store is
         durably compacted after each snapshot (``None`` disables).  Only
@@ -285,6 +289,10 @@ class IngestService:
         model, absorbed_seq = self._load_latest_snapshot(model)
         self._estimator = Tends.from_model(model, **self._overrides)
         self._model: TendsModel = self._estimator.model
+        if drift != "off":
+            self._estimator._refuse_tiled_drift(
+                self._model, f"drift policy {drift!r}"
+            )
         self._last_result: TendsResult | None = None
         self._absorbed_seq = absorbed_seq
         self._absorbed_batches = 0

@@ -9,9 +9,12 @@ had to do.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import executor as executor_module
 from repro.core.executor import ExecutionPlan, ParallelExecutor, RetryPolicy
 from repro.exceptions import MethodTimeoutError, WorkerCrashError
 from tests.faults import fault_lib
@@ -98,6 +101,35 @@ class TestWorkerCrashes:
         executor = make_executor("process", max_attempts=2, fallback=False)
         with pytest.raises(WorkerCrashError):
             executor.map(fault_lib.crash_always_chunk, fault_context, ITEMS)
+
+    @pytest.fixture
+    def broken_at_submit(self, monkeypatch):
+        """Process pools whose ``submit`` raises: a worker died between
+        two submissions, so the pool is already broken when work arrives."""
+
+        class BrokenAtSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", BrokenAtSubmit)
+
+    def test_submit_time_break_without_fallback_raises_worker_crash_error(
+        self, broken_at_submit, fault_context
+    ):
+        executor = make_executor("process", max_attempts=2, fallback=False)
+        with pytest.raises(WorkerCrashError):
+            executor.map(fault_lib.echo_chunk, fault_context, ITEMS)
+
+    def test_submit_time_break_falls_back_to_thread(
+        self, broken_at_submit, fault_context
+    ):
+        executor = make_executor("process", max_attempts=2)
+        results, _ = executor.map(fault_lib.echo_chunk, fault_context, ITEMS)
+        assert results == EXPECTED
+        report = executor.last_report
+        assert report.strategy == "thread"
+        assert report.pool_rebuilds == 1
+        assert report.fallbacks == 1
 
     def test_unpicklable_context_still_completes(self):
         # A closure context cannot be pickled.  Under fork it ships for
